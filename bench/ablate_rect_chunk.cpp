@@ -2,8 +2,8 @@
 //
 // The cut-through relay's one tunable is PAMIX_RECT_CHUNK: small chunks
 // keep the deep color trees' pipelines full (fill latency is one chunk
-// per hop), large chunks amortize per-message overhead, and chunk = whole
-// slice degenerates to store-and-forward. This harness sweeps the chunk
+// per hop), large chunks amortize per-message overhead and, at a whole
+// color slice, degenerate to store-and-forward. This harness sweeps the chunk
 // size over the DES-simulated torus and reports exact virtual-time
 // bandwidth per size, so the kRectChunkBytes default is a measured pick,
 // not a guess. All numbers are machine-independent (discrete-event
@@ -70,14 +70,6 @@ int main() {
       std::snprintf(key, sizeof(key), "rect_chunk%zu_mb_s_%d", chunk, s.nodes);
       json.add(key, st.bandwidth_mb_s);
     }
-    // Store-and-forward endpoint of the sweep (chunk = whole color slice).
-    sim::ScenarioWorld w(options_for(g));
-    const auto st = sim::scenario_rect_bcast(w, s.bytes, /*colors=*/10, 0);
-    std::printf("%-12s %14.1f %12.1f %10llu\n", "slice (SF)", st.bandwidth_mb_s, st.total_us,
-                static_cast<unsigned long long>(st.chunks));
-    char key[64];
-    std::snprintf(key, sizeof(key), "rect_sf_mb_s_%d", s.nodes);
-    json.add(key, st.bandwidth_mb_s);
   }
 
   // Speedup gate at the paper's smallest 10-color partition: the default

@@ -62,17 +62,15 @@ int main() {
               rect / single_tree);
 
   // Functional leg: run the real relay algorithm over a small machine
-  // (MPIX_Rectangle_bcast), verify delivery, and A/B the cut-through
-  // streaming chunk size against the store-and-forward schedule by
+  // (MPIX_Rectangle_bcast), verify delivery at two chunk sizes by
   // mutating coll::tuning().rect_chunk between runs. This leg checks
   // correctness and allocation discipline, not the pipelining win: the
-  // host transport has no per-hop serialization delay, so chunking only
-  // adds per-message overhead here and store-and-forward comes out
-  // faster. The cut-through speedup claim is measured where link time is
-  // modeled — the DES scenarios (scale_scenarios, ablate_rect_chunk).
-  // One warm-up iteration fills the tree cache, and the relay pre-sizes
-  // its chunk pool to the ack-window bound, so the measured window's
-  // pool-miss delta must be zero for the streamed arms.
+  // host transport has no per-hop serialization delay, so there is no
+  // fill latency for cut-through to hide. The cut-through speedup claim
+  // is measured where link time is modeled — the DES scenarios
+  // (scale_scenarios, ablate_rect_chunk). One warm-up iteration fills the
+  // plan cache, and the relay pre-sizes its chunk pool to the ack-window
+  // bound, so the measured window's pool-miss delta must be zero.
   const int kIters = bench::env_iters("PAMIX_FIG10_ITERS", 5);
   const std::size_t bytes = 1u << 20;
   struct HostRun {
@@ -134,7 +132,6 @@ int main() {
               kIters);
   const HostRun streamed = host_leg(pami::coll::kRectChunkBytes);
   const HostRun chunk4k = host_leg(4096);
-  const HostRun sf = host_leg(0);
   std::printf("  %-22s %10s %10s %14s %10s\n", "arm", "mb_s", "chunks", "inflight_peak",
               "misses");
   std::printf("  %-22s %10.0f %10llu %14llu %10llu\n", "streamed (1K chunks)", streamed.mbps,
@@ -145,8 +142,6 @@ int main() {
               static_cast<unsigned long long>(chunk4k.chunks),
               static_cast<unsigned long long>(chunk4k.inflight_peak),
               static_cast<unsigned long long>(chunk4k.pool_misses));
-  std::printf("  %-22s %10.0f %10s %14s %10llu\n", "store-and-forward", sf.mbps, "-", "-",
-              static_cast<unsigned long long>(sf.pool_misses));
   std::printf("  delivered and verified at every rank\n");
 
   bench::JsonResult json;
@@ -160,24 +155,23 @@ int main() {
   json.add("rect_1mb_host_chunks", streamed.chunks);
   json.add("rect_1mb_host_inflight_peak", streamed.inflight_peak);
   json.add("rect_1mb_host_4k_mb_s", chunk4k.mbps);
-  json.add("rect_1mb_host_sf_mb_s", sf.mbps);
   json.add("rect_host_pool_misses", streamed.pool_misses + chunk4k.pool_misses);
-  json.add("rect_host_fallbacks", streamed.fallbacks + chunk4k.fallbacks + sf.fallbacks);
+  json.add("rect_host_fallbacks", streamed.fallbacks + chunk4k.fallbacks);
   json.write("BENCH_fig10.json");
   bench::obs_finish();
 
   // CI gates: the geometry is rectangle-eligible, so any fallback means
-  // the eligibility check regressed; a pool miss in a streamed measured
-  // window means chunk recycling on the relay fast path stopped working.
-  if (streamed.fallbacks + chunk4k.fallbacks + sf.fallbacks != 0) {
+  // the eligibility check regressed; a pool miss in a measured window
+  // means chunk recycling on the relay fast path stopped working.
+  if (streamed.fallbacks + chunk4k.fallbacks != 0) {
     std::fprintf(stderr, "fig10: unexpected rectangle-broadcast fallbacks\n");
     return 1;
   }
   if (std::getenv("PAMIX_BENCH_STRICT_ALLOC") != nullptr &&
       streamed.pool_misses + chunk4k.pool_misses > 0) {
     std::fprintf(stderr,
-                 "fig10: PAMIX_BENCH_STRICT_ALLOC: %llu pool misses in the streamed "
-                 "relay's measured window (expected 0)\n",
+                 "fig10: PAMIX_BENCH_STRICT_ALLOC: %llu pool misses in the relay's "
+                 "measured window (expected 0)\n",
                  static_cast<unsigned long long>(streamed.pool_misses + chunk4k.pool_misses));
     return 1;
   }

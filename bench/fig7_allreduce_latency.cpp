@@ -7,10 +7,8 @@
 //   critical path, while larger ppn grows the local combine again.
 //
 // Host phases beyond the latency sweep:
-//   * a 2MB pipelined allreduce run twice — overlap pipeline OFF (the
-//     pre-pipeline schedule: master blocks on every network round) then
-//     ON (Figure 4: network round k concurrent with local math of k+1) —
-//     so the JSON carries its own before/after;
+//   * a 2MB pipelined allreduce (Figure 4: network round k concurrent
+//     with local math of k+1) with its coll.* pvar deltas;
 //   * a software-path (non-optimized geometry) steady-state phase whose
 //     pool-miss delta must be zero under PAMIX_BENCH_STRICT_ALLOC.
 //
@@ -21,7 +19,6 @@
 #include <cstdlib>
 
 #include "bench_util.h"
-#include "core/collectives.h"
 #include "mpi/mpi.h"
 #include "sim/collective_model.h"
 
@@ -51,12 +48,10 @@ double host_allreduce_us(int ppn, int iters) {
   return us;
 }
 
-/// 2MB allreduce on 4 nodes x 2 ppn with the slice pipeline's overlap
-/// forced on or off; returns MB/s and (optionally) the measured-phase
-/// pvar delta so the caller can report slice/round/occupancy counters.
-double host_allreduce_2mb_mb_s(bool overlap, int iters, obs::PvarSnapshot* measured_delta) {
-  const bool saved = pami::coll::tuning().overlap;
-  pami::coll::tuning().overlap = overlap;
+/// 2MB allreduce on 4 nodes x 2 ppn through the slice pipeline; returns
+/// MB/s and the measured-phase pvar delta so the caller can report
+/// slice/round/occupancy counters.
+double host_allreduce_2mb_mb_s(int iters, obs::PvarSnapshot* measured_delta) {
   runtime::Machine machine(hw::TorusGeometry({2, 2, 1, 1, 1}), 2);
   mpi::MpiWorld world(machine, mpi::MpiConfig{});
   const std::size_t count = 1u << 18;  // 2MB of doubles: many pipeline slices
@@ -84,8 +79,7 @@ double host_allreduce_2mb_mb_s(bool overlap, int iters, obs::PvarSnapshot* measu
     if (out[count / 2] != 8.0) std::printf("  VERIFICATION FAILED\n");
     mp.finalize();
   });
-  if (measured_delta != nullptr) *measured_delta = delta;
-  pami::coll::tuning().overlap = saved;
+  *measured_delta = delta;
   return mbps;
 }
 
@@ -163,32 +157,26 @@ int main() {
     phase.report(key);
   }
 
-  // Pipelined 2MB allreduce: overlap OFF is the pre-pipeline schedule
-  // (network round k fully drains before slice k+1's local math starts);
-  // overlap ON is the Figure-4 schedule. Same binary, same machine — the
-  // delta is purely the pipeline.
+  // Pipelined 2MB allreduce: the Figure-4 schedule, network round k in
+  // flight while slice k+1's local math runs.
   const int kBwIters = bench::env_iters("PAMIX_FIG7_BW_ITERS", 3);
   std::printf("\nPipelined 2MB allreduce (4 nodes x 2 ppn, %d iters):\n", kBwIters);
-  const double off = host_allreduce_2mb_mb_s(false, kBwIters, nullptr);
-  obs::PvarSnapshot on_delta;
-  const double on = host_allreduce_2mb_mb_s(true, kBwIters, &on_delta);
-  std::printf("  overlap OFF (blocking rounds) : %8.0f MB/s\n", off);
-  std::printf("  overlap ON  (Figure-4 pipeline): %7.0f MB/s  (%.2fx)\n", on, on / off);
-  const std::uint64_t occupancy = on_delta[obs::Pvar::CollOverlapBytes];
-  std::printf("  coll pvars (ON arm): slices=%llu net_rounds=%llu overlap_occupancy=%llu "
+  obs::PvarSnapshot bw_delta;
+  const double bw = host_allreduce_2mb_mb_s(kBwIters, &bw_delta);
+  std::printf("  Figure-4 pipeline: %8.0f MB/s\n", bw);
+  const std::uint64_t occupancy = bw_delta[obs::Pvar::CollOverlapBytes];
+  std::printf("  coll pvars: slices=%llu net_rounds=%llu overlap_occupancy=%llu "
               "local_reduce=%llu : %s\n",
-              static_cast<unsigned long long>(on_delta[obs::Pvar::CollSlices]),
-              static_cast<unsigned long long>(on_delta[obs::Pvar::CollNetRounds]),
+              static_cast<unsigned long long>(bw_delta[obs::Pvar::CollSlices]),
+              static_cast<unsigned long long>(bw_delta[obs::Pvar::CollNetRounds]),
               static_cast<unsigned long long>(occupancy),
-              static_cast<unsigned long long>(on_delta[obs::Pvar::CollLocalReduceBytes]),
+              static_cast<unsigned long long>(bw_delta[obs::Pvar::CollLocalReduceBytes]),
               occupancy > 0 ? "OK" : "NO OVERLAP (unexpected)");
-  json.add("allreduce_2mb_overlap_off_mb_s", off);
-  json.add("allreduce_2mb_overlap_on_mb_s", on);
-  json.add("overlap_speedup", on / off);
-  json.add("coll.slices", on_delta[obs::Pvar::CollSlices]);
-  json.add("coll.net_rounds", on_delta[obs::Pvar::CollNetRounds]);
+  json.add("allreduce_2mb_mb_s", bw);
+  json.add("coll.slices", bw_delta[obs::Pvar::CollSlices]);
+  json.add("coll.net_rounds", bw_delta[obs::Pvar::CollNetRounds]);
   json.add("coll.overlap_occupancy", occupancy);
-  json.add("coll.local_reduce_bytes", on_delta[obs::Pvar::CollLocalReduceBytes]);
+  json.add("coll.local_reduce_bytes", bw_delta[obs::Pvar::CollLocalReduceBytes]);
 
   // Software path (non-optimized 3-rank communicator): latency plus the
   // steady-state allocation discipline of the k-nomial engine.

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/collectives.h"
 #include "mpi/mpi.h"
 #include "sim/collective_model.h"
 
@@ -43,55 +42,43 @@ int main() {
 
   // Functional leg: the real shared-address allreduce (parallel local
   // math, slice pipelining, collective-network engine) on a 4-node
-  // machine, run with the slice-overlap pipeline off then on.
+  // machine.
   const int kIters = bench::env_iters("PAMIX_FIG8_ITERS", 3);
   std::printf("\nFunctional host run (real slice-pipelined allreduce, 4 nodes x 2 ppn, %d iters):\n",
               kIters);
   bench::JsonResult json;
   json.add("iters", static_cast<std::uint64_t>(kIters));
-  double rates[2] = {0, 0};
-  obs::PvarSnapshot on_delta;
-  for (const bool overlap : {false, true}) {
-    pami::coll::tuning().overlap = overlap;
-    runtime::Machine machine(hw::TorusGeometry({2, 2, 1, 1, 1}), 2);
-    mpi::MpiWorld world(machine, mpi::MpiConfig{});
-    const std::size_t count = 1u << 18;  // 2MB: several pipeline slices
-    double mbps = 0;
-    obs::PvarSnapshot delta;
-    machine.run_spmd([&](int task) {
-      mpi::Mpi& mp = world.at(task);
-      mp.init(mpi::ThreadLevel::Single);
-      const mpi::Comm w = mp.world();
-      std::vector<double> in(count, 1.0), out(count);
+  runtime::Machine machine(hw::TorusGeometry({2, 2, 1, 1, 1}), 2);
+  mpi::MpiWorld world(machine, mpi::MpiConfig{});
+  const std::size_t count = 1u << 18;  // 2MB: several pipeline slices
+  double mbps = 0;
+  obs::PvarSnapshot delta;
+  machine.run_spmd([&](int task) {
+    mpi::Mpi& mp = world.at(task);
+    mp.init(mpi::ThreadLevel::Single);
+    const mpi::Comm w = mp.world();
+    std::vector<double> in(count, 1.0), out(count);
+    mp.allreduce(in.data(), out.data(), count, mpi::Type::Double, mpi::Op::Add, w);
+    mp.barrier(w);
+    bench::PvarPhase phase;
+    bench::Stopwatch sw;
+    for (int i = 0; i < kIters; ++i) {
       mp.allreduce(in.data(), out.data(), count, mpi::Type::Double, mpi::Op::Add, w);
-      mp.barrier(w);
-      bench::PvarPhase phase;
-      bench::Stopwatch sw;
-      for (int i = 0; i < kIters; ++i) {
-        mp.allreduce(in.data(), out.data(), count, mpi::Type::Double, mpi::Op::Add, w);
-      }
-      mp.barrier(w);
-      if (mp.rank(w) == 0) {
-        mbps = kIters * count * sizeof(double) / sw.elapsed_us();
-        delta = phase.delta();
-      }
-      if (out[count / 2] != 8.0) std::printf("  VERIFICATION FAILED\n");
-      mp.finalize();
-    });
-    rates[overlap ? 1 : 0] = mbps;
-    if (overlap) on_delta = delta;
-    std::printf("  2MB double-sum verified on all ranks; %8.0f MB/s (overlap %s)\n", mbps,
-                overlap ? "ON" : "OFF");
-  }
-  pami::coll::tuning().overlap = true;
-  std::printf("  pipeline speedup: %.2fx; overlap_occupancy=%llu\n", rates[1] / rates[0],
-              static_cast<unsigned long long>(on_delta[obs::Pvar::CollOverlapBytes]));
-  json.add("allreduce_2mb_overlap_off_mb_s", rates[0]);
-  json.add("allreduce_2mb_overlap_on_mb_s", rates[1]);
-  json.add("overlap_speedup", rates[1] / rates[0]);
-  json.add("coll.slices", on_delta[obs::Pvar::CollSlices]);
-  json.add("coll.net_rounds", on_delta[obs::Pvar::CollNetRounds]);
-  json.add("coll.overlap_occupancy", on_delta[obs::Pvar::CollOverlapBytes]);
+    }
+    mp.barrier(w);
+    if (mp.rank(w) == 0) {
+      mbps = kIters * count * sizeof(double) / sw.elapsed_us();
+      delta = phase.delta();
+    }
+    if (out[count / 2] != 8.0) std::printf("  VERIFICATION FAILED\n");
+    mp.finalize();
+  });
+  std::printf("  2MB double-sum verified on all ranks; %8.0f MB/s; overlap_occupancy=%llu\n",
+              mbps, static_cast<unsigned long long>(delta[obs::Pvar::CollOverlapBytes]));
+  json.add("allreduce_2mb_mb_s", mbps);
+  json.add("coll.slices", delta[obs::Pvar::CollSlices]);
+  json.add("coll.net_rounds", delta[obs::Pvar::CollNetRounds]);
+  json.add("coll.overlap_occupancy", delta[obs::Pvar::CollOverlapBytes]);
   json.add("model_peak_ppn1_mb_s", m.allreduce_throughput_mb_s(1, 8u << 20));
   json.write("BENCH_fig8.json");
   bench::obs_finish();

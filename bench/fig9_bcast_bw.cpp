@@ -6,15 +6,13 @@
 //   sizes where the broadcast data spills the L2 and peer copy-out runs
 //   at DDR rates.
 //
-// The functional 4MB host leg runs twice — slice-overlap pipeline OFF
-// (master blocks on every collective-network round) then ON (round k in
-// flight while peers copy out slice k-1) — so BENCH_fig9.json carries its
-// own before/after alongside the coll.* pvar deltas.
+// The functional 4MB host leg runs the slice pipeline (round k in flight
+// while peers copy out slice k-1); BENCH_fig9.json carries its rate
+// alongside the coll.* pvar deltas.
 #include <cstdio>
 #include <cstdlib>
 
 #include "bench_util.h"
-#include "core/collectives.h"
 #include "mpi/mpi.h"
 #include "sim/collective_model.h"
 
@@ -22,12 +20,9 @@ namespace {
 
 using namespace pamix;
 
-/// 4MB broadcast from a non-node-0 root on 4 nodes x 2 ppn, slice
-/// pipeline overlap forced on or off. Returns MB/s; `measured_delta`
-/// receives the measured-phase pvar delta.
-double host_bcast_4mb_mb_s(bool overlap, int iters, obs::PvarSnapshot* measured_delta) {
-  const bool saved = pami::coll::tuning().overlap;
-  pami::coll::tuning().overlap = overlap;
+/// 4MB broadcast from a non-node-0 root on 4 nodes x 2 ppn. Returns MB/s;
+/// `measured_delta` receives the measured-phase pvar delta.
+double host_bcast_4mb_mb_s(int iters, obs::PvarSnapshot* measured_delta) {
   runtime::Machine machine(hw::TorusGeometry({2, 2, 1, 1, 1}), 2);
   mpi::MpiWorld world(machine, mpi::MpiConfig{});
   const std::size_t bytes = 4u << 20;
@@ -52,7 +47,6 @@ double host_bcast_4mb_mb_s(bool overlap, int iters, obs::PvarSnapshot* measured_
     mp.finalize();
   });
   if (measured_delta != nullptr) *measured_delta = delta;
-  pami::coll::tuning().overlap = saved;
   return mbps;
 }
 
@@ -86,29 +80,25 @@ int main() {
   }
 
   // Functional leg: real collective-network broadcast with shared-address
-  // peer copy-out on a 4-node x 2-ppn machine, overlap OFF then ON.
+  // peer copy-out on a 4-node x 2-ppn machine.
   const int kIters = bench::env_iters("PAMIX_FIG9_ITERS", 3);
   std::printf("\nFunctional host run (real cnet bcast + shared-address copy, 4x2, %d iters):\n",
               kIters);
-  const double off = host_bcast_4mb_mb_s(false, kIters, nullptr);
-  obs::PvarSnapshot on_delta;
-  const double on = host_bcast_4mb_mb_s(true, kIters, &on_delta);
-  const std::uint64_t occupancy = on_delta[obs::Pvar::CollOverlapBytes];
-  std::printf("  overlap OFF (blocking rounds) : %8.0f MB/s\n", off);
-  std::printf("  overlap ON  (slice pipeline)  : %8.0f MB/s  (%.2fx)\n", on, on / off);
-  std::printf("  coll pvars (ON arm): slices=%llu net_rounds=%llu overlap_occupancy=%llu : %s\n",
-              static_cast<unsigned long long>(on_delta[obs::Pvar::CollSlices]),
-              static_cast<unsigned long long>(on_delta[obs::Pvar::CollNetRounds]),
+  obs::PvarSnapshot delta;
+  const double mbps = host_bcast_4mb_mb_s(kIters, &delta);
+  const std::uint64_t occupancy = delta[obs::Pvar::CollOverlapBytes];
+  std::printf("  slice pipeline: %8.0f MB/s\n", mbps);
+  std::printf("  coll pvars: slices=%llu net_rounds=%llu overlap_occupancy=%llu : %s\n",
+              static_cast<unsigned long long>(delta[obs::Pvar::CollSlices]),
+              static_cast<unsigned long long>(delta[obs::Pvar::CollNetRounds]),
               static_cast<unsigned long long>(occupancy),
               occupancy > 0 ? "OK" : "NO OVERLAP (unexpected)");
 
   bench::JsonResult json;
   json.add("iters", static_cast<std::uint64_t>(kIters));
-  json.add("bcast_4mb_overlap_off_mb_s", off);
-  json.add("bcast_4mb_overlap_on_mb_s", on);
-  json.add("overlap_speedup", on / off);
-  json.add("coll.slices", on_delta[obs::Pvar::CollSlices]);
-  json.add("coll.net_rounds", on_delta[obs::Pvar::CollNetRounds]);
+  json.add("bcast_4mb_mb_s", mbps);
+  json.add("coll.slices", delta[obs::Pvar::CollSlices]);
+  json.add("coll.net_rounds", delta[obs::Pvar::CollNetRounds]);
   json.add("coll.overlap_occupancy", occupancy);
   json.add("model_peak_ppn1_mb_s", m.bcast_throughput_mb_s(1, 32u << 20));
   json.write("BENCH_fig9.json");

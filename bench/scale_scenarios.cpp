@@ -105,8 +105,7 @@ int main() {
   // modes. The paper partitions (full mode) run a 4 MiB payload — enough
   // chunks per color that the cut-through pipeline is fully expressed —
   // at the production chunk size (coll::tuning().rect_chunk, so a
-  // PAMIX_RECT_CHUNK override flows through), plus a store-and-forward
-  // A/B arm (chunk = whole color slice) at 512 nodes.
+  // PAMIX_RECT_CHUNK override flows through).
   const std::size_t kBcBytes = 512 * 1024;
   const std::size_t kBcChunk = 1024;
   std::printf("\nRectangle broadcast, multicolor vs single-path:\n");
@@ -134,14 +133,6 @@ int main() {
     const double speedup_512 = rect_row(512, kBcBigBytes, chunk);
     rect_row(1024, kBcBigBytes, chunk);
     json.add("rect_chunk_512", static_cast<std::uint64_t>(chunk));
-
-    // Store-and-forward A/B arm: chunk_bytes == 0 makes every relay hold a
-    // whole color slice before re-injecting it.
-    sim::ScenarioWorld wsf(options_for(bench::geometry_for_nodes(512)));
-    const auto sf = sim::scenario_rect_bcast(wsf, kBcBigBytes, /*colors=*/10, 0);
-    std::printf("%-8d %10zu %8s %8d %14.1f %14s   (store-and-forward arm)\n", 512,
-                kBcBigBytes, "slice", sf.colors, sf.bandwidth_mb_s, "-");
-    json.add("rect_sf_mb_s_512", sf.bandwidth_mb_s);
 
     // Self-gate on the paper claim: with the default chunk the streamed
     // 10-color broadcast must reach 9x over single-path at 512 nodes.

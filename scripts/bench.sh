@@ -24,7 +24,7 @@
 # Usage: scripts/bench.sh [--smoke] [--check] [--tolerance F] [bench...]
 #        PREFIX=dir scripts/bench.sh       (build-dir prefix, default: build)
 # Benches: fig5 endpoints fig6 fig7 fig8 fig9 fig10 table2 table3 ctxhash amrpc scale
-#          waitall commthread rectchunk
+#          commthread rectchunk
 # (table1 prints its rows but emits no JSON, so it is not part of the report.)
 # `scale` runs the DES scenario engine; its smoke mode keeps only the
 # 32/64-node calibration geometries, whose virtual-time keys are exact and
@@ -51,7 +51,7 @@ while [ $# -gt 0 ]; do
 done
 
 # bench name -> binary -> json file, plus smoke-scale env overrides.
-benches=(fig5 endpoints fig6 fig7 fig8 fig9 fig10 table2 table3 ctxhash amrpc scale waitall commthread rectchunk)
+benches=(fig5 endpoints fig6 fig7 fig8 fig9 fig10 table2 table3 ctxhash amrpc scale commthread rectchunk)
 binary_of() {
   case "$1" in
     fig5)    echo fig5_message_rate ;;
@@ -64,7 +64,6 @@ binary_of() {
     table2)  echo table2_mpi_latency ;;
     table3)  echo table3_neighbor_throughput ;;
     ctxhash) echo ablate_context_hash ;;
-    waitall) echo ablate_waitall ;;
     commthread) echo ablate_commthread ;;
     amrpc)   echo amrpc_soak ;;
     scale)   echo scale_scenarios ;;
@@ -90,7 +89,6 @@ smoke_env() {
     table2)  echo "PAMIX_TABLE2_ITERS=300" ;;
     table3)  echo "PAMIX_TABLE3_KB=64" ;;
     ctxhash) echo "PAMIX_CTXHASH_MSGS=500" ;;
-    waitall) echo "PAMIX_ABLWAITALL_ITERS=4" ;;
     commthread) echo "PAMIX_ABLCOMM_ITERS=300 PAMIX_ABLCOMM_MSGS=2000" ;;
     amrpc)   echo "PAMIX_BENCH_AMRPC_ITERS=500" ;;
     scale)   echo "PAMIX_SCALE_SMOKE=1" ;;

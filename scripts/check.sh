@@ -31,6 +31,11 @@
 #              comm.sleep_timeouts must be exactly 0 (a nonzero count
 #              means a wakeup was lost and the 50ms bounded sleep rescued
 #              progress)
+#   alloc-loop — run each counting-operator-new test binary
+#              (test_alloc_steadystate, test_am_alloc, test_match_alloc)
+#              100 times. Their zero-allocation steady states run on
+#              free-running threads, so one green run proves little; any
+#              red run fails the flavor
 #   sim-smoke — run the DES transport backend leg: the backend/scenario
 #              unit tests plus scale_scenarios at the 32/64-node calibration
 #              geometries (PAMIX_SCALE_SMOKE=1). Virtual time is exact, so
@@ -47,7 +52,7 @@
 #              scripts/bench.sh --check (10% default) on a quiet host for
 #              the tight contract. Strict-alloc misses fail at any tolerance.
 #
-# Usage: scripts/check.sh [flavor...]          (default: all ten)
+# Usage: scripts/check.sh [flavor...]          (default: all eleven)
 #        PREFIX=dir scripts/check.sh           (build-dir prefix, default: build)
 set -euo pipefail
 
@@ -57,7 +62,7 @@ jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 flavors=("$@")
 if [ ${#flavors[@]} -eq 0 ]; then
-  flavors=(obs-on obs-off sanitize sanitize-thread bench-smoke coll-smoke mpi-rate-smoke commthread-smoke sim-smoke perf-regress)
+  flavors=(obs-on obs-off sanitize sanitize-thread bench-smoke coll-smoke mpi-rate-smoke commthread-smoke alloc-loop sim-smoke perf-regress)
 fi
 
 run_flavor() {
@@ -124,6 +129,20 @@ for flavor in "${flavors[@]}"; do
       ( cd "${prefix}" &&
         PAMIX_ABLCOMM_ITERS=300 PAMIX_ABLCOMM_MSGS=2000 ./bench/ablate_commthread )
       test -s "${prefix}/BENCH_commthread.json" ;;
+    alloc-loop)
+      echo "==> [alloc-loop] counting-operator-new binaries, 100 runs each"
+      cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=Release
+      cmake --build "${prefix}" -j "${jobs}" --target test_alloc_steadystate test_am_alloc test_match_alloc
+      for bin in test_alloc_steadystate test_am_alloc test_match_alloc; do
+        for run in $(seq 100); do
+          if ! out="$("${prefix}/tests/${bin}" 2>&1)"; then
+            echo "${out}"
+            echo "${bin}: run ${run} of 100 failed" >&2
+            exit 1
+          fi
+        done
+        echo "  ${bin}: 100 of 100 runs green"
+      done ;;
     sim-smoke)
       echo "==> [sim-smoke] DES transport backend: unit tests + scale calibration run"
       cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=Release
@@ -141,7 +160,7 @@ for flavor in "${flavors[@]}"; do
       PREFIX="${prefix}" scripts/bench.sh --smoke --check --tolerance 0.5
       test -s "${prefix}/BENCH_report.json" ;;
     *)
-      echo "unknown flavor: ${flavor} (expected obs-on, obs-off, sanitize, sanitize-thread, bench-smoke, coll-smoke, mpi-rate-smoke, commthread-smoke, sim-smoke, perf-regress)" >&2
+      echo "unknown flavor: ${flavor} (expected obs-on, obs-off, sanitize, sanitize-thread, bench-smoke, coll-smoke, mpi-rate-smoke, commthread-smoke, alloc-loop, sim-smoke, perf-regress)" >&2
       exit 2 ;;
   esac
 done

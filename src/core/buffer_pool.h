@@ -246,6 +246,7 @@ class BufferPool {
       return Buf(b, n);
     }
     count(obs::Pvar::AllocPoolMisses);
+    ++owned_[cls];
     return Buf(detail::BufBlock::create(core_, static_cast<std::uint32_t>(cls),
                                         kBufClassSizes[cls]),
                n);
@@ -258,30 +259,16 @@ class BufferPool {
     return b;
   }
 
-  /// Pre-size the freelist so `count` concurrent `n`-byte acquires cannot
-  /// miss (owner thread only). Cross-thread returns are folded in first
-  /// and blocks already free count toward the target, so repeat calls
-  /// converge instead of growing the pool. Pre-sized blocks are counted
-  /// as neither hits nor misses: a miss means demand the owner did not
-  /// predict, which is exactly what reserving rules out.
+  /// Grow the pool to `count` blocks of the class serving `n`-byte
+  /// acquires, so `count` concurrent acquires cannot miss (owner thread
+  /// only). Checked-out blocks count: sizing by what is free at the call
+  /// would make the pool track release timing. Pre-sized blocks count as
+  /// neither hits nor misses — a miss is demand the owner did not predict.
   void reserve(std::size_t n, std::size_t count) {
     if (n == 0) return;
     const std::size_t cls = class_for(n);
     if (cls == kBufClassCount) return;  // oversize requests never pool
-    if (core_->reclaim_count[cls].load(std::memory_order_relaxed) > 0) {
-      std::lock_guard<hw::L2AtomicMutex> g(core_->mu);
-      detail::BufBlock* tail = core_->reclaim[cls];
-      if (tail != nullptr) {
-        while (tail->next != nullptr) tail = tail->next;
-        tail->next = free_[cls];
-        free_[cls] = core_->reclaim[cls];
-        core_->reclaim[cls] = nullptr;
-        core_->reclaim_count[cls].store(0, std::memory_order_relaxed);
-      }
-    }
-    std::size_t have = 0;
-    for (detail::BufBlock* b = free_[cls]; b != nullptr && have < count; b = b->next) ++have;
-    for (; have < count; ++have) {
+    for (; owned_[cls] < count; ++owned_[cls]) {
       detail::BufBlock* b =
           detail::BufBlock::create(core_, static_cast<std::uint32_t>(cls),
                                    kBufClassSizes[cls]);
@@ -290,7 +277,7 @@ class BufferPool {
     }
   }
 
- private:
+  /// Size class serving an `n`-byte acquire (kBufClassCount: oversize).
   static std::size_t class_for(std::size_t n) {
     for (std::size_t c = 0; c < kBufClassCount; ++c) {
       if (n <= kBufClassSizes[c]) return c;
@@ -298,6 +285,7 @@ class BufferPool {
     return kBufClassCount;
   }
 
+ private:
   void count(obs::Pvar p) {
     if (pvars_ != nullptr) pvars_->add(p);
   }
@@ -313,6 +301,7 @@ class BufferPool {
   std::shared_ptr<detail::PoolCore> core_;
   obs::PvarSet* pvars_;
   detail::BufBlock* free_[kBufClassCount]{};  // owner-thread private freelists
+  std::size_t owned_[kBufClassCount]{};       // pooled blocks created, free or not
 };
 
 }  // namespace pamix::core

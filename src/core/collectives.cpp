@@ -1,37 +1,41 @@
 #include "core/collectives.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/buffer_pool.h"
 #include "core/env.h"
 #include "runtime/collective_engine.h"
-#include "sim/rect_bcast.h"
 
 namespace pamix::pami::coll {
 
+CollTuning tuning_from_env() {
+  CollTuning v;
+  v.slice_bytes = core::env_size_or("PAMIX_COLL_SLICE", kPipelineSliceBytes);
+  if (v.slice_bytes == 0 || v.slice_bytes % 64 != 0) {
+    std::fprintf(stderr,
+                 "pamix: ignoring invalid PAMIX_COLL_SLICE=%zu (not a positive multiple "
+                 "of 64; keeping %zu)\n",
+                 v.slice_bytes, kPipelineSliceBytes);
+    v.slice_bytes = kPipelineSliceBytes;
+  }
+  v.radix = core::env_int_or("PAMIX_COLL_RADIX", v.radix, 2, 64);
+  v.rect_chunk = core::env_size_or("PAMIX_RECT_CHUNK", kRectChunkBytes);
+  if (v.rect_chunk == 0) {
+    std::fprintf(stderr, "pamix: ignoring invalid PAMIX_RECT_CHUNK=0 (keeping %zu)\n",
+                 kRectChunkBytes);
+    v.rect_chunk = kRectChunkBytes;
+  }
+  return v;
+}
+
 CollTuning& tuning() {
-  static CollTuning t = [] {
-    CollTuning v;
-    v.slice_bytes = core::env_size_or("PAMIX_COLL_SLICE", kPipelineSliceBytes);
-    if (v.slice_bytes == 0 || v.slice_bytes % 64 != 0) {
-      std::fprintf(stderr,
-                   "pamix: ignoring invalid PAMIX_COLL_SLICE=%zu (not a positive multiple "
-                   "of 64; keeping %zu)\n",
-                   v.slice_bytes, kPipelineSliceBytes);
-      v.slice_bytes = kPipelineSliceBytes;
-    }
-    v.radix = core::env_int_or("PAMIX_COLL_RADIX", v.radix, 2, 64);
-    v.overlap = core::env_flag_or("PAMIX_COLL_OVERLAP", true);
-    // 0 is a deliberate setting (store-and-forward A/B arm), so only the
-    // env parser's own validation applies; env_size_or keeps the K/M
-    // suffix discipline and the 256MiB typo cap.
-    v.rect_chunk = core::env_size_or("PAMIX_RECT_CHUNK", kRectChunkBytes);
-    return v;
-  }();
+  static CollTuning t = tuning_from_env();
   return t;
 }
 
@@ -174,10 +178,16 @@ CollState& state_of(Client& client) {
   return *std::static_pointer_cast<CollState>(cookie);
 }
 
-/// Next operation sequence number for geometry `g` on this task.
+/// Next operation sequence number for geometry `g` on this task. The first
+/// makes room for early arrivals from peers a collective or two ahead, so
+/// neither the match table nor the small-deposit pool tracks how far they got.
 std::uint64_t next_seq(Client& client, Geometry& g) {
   CollState& st = state_of(client);
   std::lock_guard<hw::L2AtomicMutex> lk(st.mu);
+  if (st.seq.empty()) {
+    st.slots.reserve(64);
+    st.pool.reserve(core::kBufClassSizes[0], 64);
+  }
   return st.seq[g.id()]++;
 }
 
@@ -376,7 +386,6 @@ void allreduce_optimized(Context& ctx, Geometry& g, const void* sendbuf, void* r
   S -= S % elem;
   if (S == 0) S = elem;
   const std::size_t nslices = (bytes + S - 1) / S;
-  const bool overlap = tuning().overlap;
 
   // Counter bases, captured before the entry barrier: the previous op's
   // exit barrier quiesced the counters, and every increment of this op
@@ -493,7 +502,6 @@ void allreduce_optimized(Context& ctx, Geometry& g, const void* sendbuf, void* r
       grp.armed.fetch_add(1, std::memory_order_acq_rel);
       st.obs.pvars.add(obs::Pvar::CollNetRounds);
       ctx.obs().trace.record(obs::TraceEv::CollArm, static_cast<std::uint32_t>(round));
-      if (!overlap) wait_for(grp.net_done, done0 + k + 1);
     } else {
       copy_ready(/*block=*/false);
     }
@@ -526,7 +534,6 @@ void broadcast_optimized(Context& ctx, Geometry& g, std::size_t root_rank, void*
   // master's buffer.
   const std::size_t S = tuning().slice_bytes;
   const std::size_t nslices = (bytes + S - 1) / S;  // 0 when bytes == 0
-  const bool overlap = tuning().overlap;
   const std::uint64_t done0 = grp.net_done.load(std::memory_order_acquire);
 
   if (my_task == root_task) grp.root_slot.publish(buffer);
@@ -559,7 +566,6 @@ void broadcast_optimized(Context& ctx, Geometry& g, std::size_t root_rank, void*
       st.obs.pvars.add(obs::Pvar::CollNetRounds);
       st.obs.pvars.add(obs::Pvar::CollSlices);
       ctx.obs().trace.record(obs::TraceEv::CollArm, static_cast<std::uint32_t>(round));
-      if (!overlap) wait_net(done0 + k + 1);
     }
     wait_net(done0 + nslices);  // every slice landed in our buffer
   } else if (my_task != root_task) {
@@ -806,33 +812,6 @@ void allgather(Context& ctx, Geometry& g, const void* sendbuf, void* recvbuf,
 
 namespace {
 
-/// Cached rectangle-broadcast trees + per-color children lists. Each child
-/// entry carries the torus hint bits that force the parent->child hop onto
-/// the link the color tree claimed: in an extent-2 ring both directions
-/// reach the child, and an unhinted send would let the router collapse the
-/// dimension's two color trees onto one wire.
-struct RectTrees {
-  struct Kid {
-    int node = 0;
-    std::uint16_t hints = 0;
-  };
-  explicit RectTrees(const hw::TorusGeometry& torus, const hw::TorusRectangle& rect, int root)
-      : trees(torus, rect, root) {
-    children.resize(static_cast<std::size_t>(trees.colors()));
-    for (int c = 0; c < trees.colors(); ++c) {
-      auto& per_node = children[static_cast<std::size_t>(c)];
-      for (int node : trees.delivery_order(c)) {
-        const int p = trees.parent(c, node);
-        if (p < 0) continue;
-        per_node[p].push_back(
-            Kid{node, hw::hint_for_link(torus, p, node, trees.parent_link_index(c, node))});
-      }
-    }
-  }
-  sim::MulticolorRectBcast trees;
-  std::vector<std::map<int, std::vector<Kid>>> children;  // per color: node -> kids
-};
-
 /// Chunk index of the next acknowledgment a parent expects from a child
 /// that has confirmed `acked` chunks: children ack every kRectAckChunks-th
 /// chunk and always the last one.
@@ -841,7 +820,28 @@ std::uint32_t rect_ack_point(std::uint32_t acked, std::uint32_t nchunks) {
   return std::min(kp, nchunks - 1);
 }
 
+std::shared_ptr<sim::MulticolorRectBcast> build_rect_plan(const hw::TorusGeometry& torus,
+                                                          const hw::TorusRectangle& rect,
+                                                          int root_node) {
+  auto plan = std::make_shared<sim::MulticolorRectBcast>(torus, rect, root_node);
+  if (!plan->validate()) throw std::logic_error("pamix: invalid rectangle broadcast trees");
+  return plan;
+}
+
 }  // namespace
+
+std::shared_ptr<const sim::MulticolorRectBcast> rect_plan(Geometry& g,
+                                                          const hw::TorusGeometry& torus,
+                                                          int root_node) {
+  const hw::TorusRectangle rect = *g.topology().rectangle();
+  std::shared_ptr<const sim::MulticolorRectBcast> plan =
+      g.cached<sim::MulticolorRectBcast>([&] { return build_rect_plan(torus, rect, root_node); });
+  // Rebuilding for a new root is legitimate (the hardware reprograms
+  // nothing — this is software); the cache keeps the common fixed-root
+  // case cheap.
+  if (plan->root() != root_node) plan = build_rect_plan(torus, rect, root_node);
+  return plan;
+}
 
 void rectangle_broadcast(Context& ctx, Geometry& g, std::size_t root_rank, void* buffer,
                          std::size_t bytes) {
@@ -867,17 +867,7 @@ void rectangle_broadcast(Context& ctx, Geometry& g, std::size_t root_rank, void*
   const int my_node = m.node_of_task(my_task);
   const int root_task = g.task_of(root_rank);
   const int root_node = m.node_of_task(root_task);
-
-  // The trees are rooted at the root's node; rebuilding for a new root is
-  // legitimate (the hardware reprograms nothing — this is software), but
-  // the cache keeps the common fixed-root case cheap.
-  auto rt = g.cached<RectTrees>([&] {
-    return std::make_shared<RectTrees>(m.geometry(), *g.topology().rectangle(), root_node);
-  });
-  if (rt->trees.colors() > 0 && rt->trees.delivery_order(0).front() != root_node) {
-    // Cached trees rooted elsewhere: build privately for this call.
-    rt = std::make_shared<RectTrees>(m.geometry(), *g.topology().rectangle(), root_node);
-  }
+  const auto plan = rect_plan(g, m.geometry(), root_node);
   const std::uint64_t seq = next_seq(ctx.client(), g);
 
   if (my_task == root_task) li.group->root_slot.publish(buffer);
@@ -890,178 +880,150 @@ void rectangle_broadcast(Context& ctx, Geometry& g, std::size_t root_rank, void*
       const void* src = li.group->root_slot.ptr.load(std::memory_order_acquire);
       std::memcpy(buf, peer_read(ctx, root_task, src, bytes), bytes);
     }
-    // Slice the message across colors and relay each slice down its tree.
-    // (A single-node rectangle has no colors and nothing to relay.)
-    const int ncolors = rt->trees.colors();
-    const std::size_t base = ncolors > 0 ? bytes / static_cast<std::size_t>(ncolors) : 0;
-    const std::size_t rem = ncolors > 0 ? bytes % static_cast<std::size_t>(ncolors) : 0;
+    // Slice the message across colors and stream each slice down its tree
+    // in C-byte chunks, phase 1000+c carrying the chunk index. An interior
+    // master forwards chunk k the moment it lands, while chunk k+1 is
+    // still in flight — the relay never waits for a whole slice, so deep
+    // trees cost one chunk of fill latency instead of one slice per hop.
+    // Children return acks on phase 2000+c at every rect_ack_point; a
+    // master stops forwarding a color once any child trails by
+    // kRectWindowChunks, bounding the pooled deposits a slow subtree can
+    // accumulate. (A single-node rectangle has no colors and nothing to
+    // relay.)
+    const int ncolors = plan->colors();
+    const auto nc = static_cast<std::size_t>(ncolors);
+    const std::size_t base = nc > 0 ? bytes / nc : 0;
+    const std::size_t rem = nc > 0 ? bytes % nc : 0;
     const std::size_t C = tuning().rect_chunk;
-    if (C == 0) {
-      // Store-and-forward: each interior master receives its whole color
-      // slice before forwarding it. The pre-cut-through schedule, kept as
-      // the A/B baseline arm (PAMIX_RECT_CHUNK=0).
-      std::size_t off = 0;
-      for (int c = 0; c < ncolors; ++c) {
-        const std::size_t len = base + (static_cast<std::size_t>(c) < rem ? 1 : 0);
-        const int phase = 1000 + c;
-        if (my_node != root_node) {
-          const int parent_node = rt->trees.parent(c, my_node);
-          const int parent_master = g.node_group(parent_node).master_task;
-          core::Buf slice = wait_coll(ctx, g, seq, phase, *g.rank_of(parent_master));
-          assert(slice.size() == len);
-          if (len > 0) std::memcpy(buf + off, slice.data(), len);
-        }
-        const auto kids = rt->children[static_cast<std::size_t>(c)].find(my_node);
-        if (kids != rt->children[static_cast<std::size_t>(c)].end()) {
-          for (const RectTrees::Kid& kid : kids->second) {
-            const int child_master = g.node_group(kid.node).master_task;
-            send_coll(ctx, g, seq, phase, *g.rank_of(child_master), buf + off, len, pending,
-                      /*chunk=*/0, kid.hints);
-          }
-        }
-        off += len;
+    assert(C > 0 && "rect_chunk must be positive");
+    if (st.rect.size() < nc) st.rect.resize(nc);
+    // Pre-size what the schedule holds to its high-water, which unlike
+    // the demand's timing is deterministic (zero misses, not "zero once
+    // jitter has explored the peak"). Deposits: W untaken parent chunks
+    // per color, twice, as back-to-back broadcasts overlap by at most one
+    // iteration. MU packet staging on every peer's FIFO, held until the
+    // receiver consumes a packet: W chunks and a shorter last one per
+    // child edge, W/A + 1 acks per parent edge. Reception counters for
+    // rendezvous pulls: W per color.
+    st.reserve(C, 2 * kRectWindowChunks * nc);
+    proto::ProgressEngine& eng = ctx.engine();
+    proto::StagingBlocks staging{};
+    std::uint64_t inflight = 0;  // forwarded-but-unacked chunks, all colors
+    int remaining = 0;
+    std::size_t off = 0;
+    for (int c = 0; c < ncolors; ++c) {
+      CollState::RectColor& rc = st.rect[static_cast<std::size_t>(c)];
+      rc.off = off;
+      rc.len = base + (static_cast<std::size_t>(c) < rem ? 1 : 0);
+      off += rc.len;
+      rc.nchunks = static_cast<std::uint32_t>((rc.len + C - 1) / C);
+      rc.recv_next = rc.fwd_next = 0;
+      rc.done = false;
+      rc.parent_rank = -1;
+      if (my_node != root_node) {
+        const int parent_master = g.node_group(plan->parent(c, my_node)).master_task;
+        rc.parent_rank = static_cast<int>(*g.rank_of(parent_master));
+        eng.count_send_staging(staging, sizeof(CollHeader), 0,
+                               kRectWindowChunks / kRectAckChunks + 1);
       }
-      drain_sends(ctx, pending);  // children pull slices from our buffer
-    } else {
-      // Cut-through: every color slice streams in C-byte chunks, phase
-      // 1000+c carrying the chunk index. An interior master forwards chunk
-      // k the moment it lands, while chunk k+1 is still in flight — the
-      // relay never waits for a whole slice, so deep trees cost one chunk
-      // of fill latency instead of one slice per hop. Children return acks
-      // on phase 2000+c at every rect_ack_point; a master stops forwarding
-      // a color once any child trails by kRectWindowChunks, bounding the
-      // pooled deposits a slow subtree can accumulate.
-      if (st.rect.size() < static_cast<std::size_t>(ncolors)) {
-        st.rect.resize(static_cast<std::size_t>(ncolors));
+      const std::size_t nkids = plan->children(c, my_node).size();
+      rc.acked.assign(nkids, 0);  // reuses capacity after the first call
+      if (rc.nchunks > 0) {
+        eng.count_send_staging(staging, sizeof(CollHeader), C, kRectWindowChunks * nkids);
+        eng.count_send_staging(staging, sizeof(CollHeader), rc.len - (rc.nchunks - 1) * C,
+                               nkids);
       }
-      // Pre-size the deposit pool to the schedule's high-water: the ack
-      // window bounds untaken parent chunks at kRectWindowChunks per
-      // color, and back-to-back broadcasts overlap by at most one
-      // iteration (a parent starts seq+1 only after we acked — i.e.
-      // landed — all of seq), so 2*W*colors chunks covers any interleave.
-      // Demand timing is scheduler-dependent; reserving up front makes
-      // the steady-state miss count deterministically zero instead of
-      // "zero once jitter has explored the peak".
-      st.reserve(C, 2 * kRectWindowChunks * static_cast<std::size_t>(ncolors));
-      std::uint64_t inflight = 0;  // forwarded-but-unacked chunks, all colors
-      int remaining = 0;
-      std::size_t off = 0;
+      ++remaining;
+    }
+    if (my_node != root_node) eng.reserve_recv_pulls(kRectWindowChunks * nc);
+    for (int c = 0; c < ncolors; ++c) {
+      const int parent_rank = st.rect[static_cast<std::size_t>(c)].parent_rank;
+      if (parent_rank >= 0) {
+        eng.reserve_send_staging(g.task_of(static_cast<std::size_t>(parent_rank)), staging);
+      }
+      for (const auto& kid : plan->children(c, my_node)) {
+        eng.reserve_send_staging(g.node_group(kid.node).master_task, staging);
+      }
+    }
+    ProgressSpin spin(ctx);
+    while (remaining > 0) {
+      bool progressed = false;
       for (int c = 0; c < ncolors; ++c) {
         CollState::RectColor& rc = st.rect[static_cast<std::size_t>(c)];
-        rc.off = off;
-        rc.len = base + (static_cast<std::size_t>(c) < rem ? 1 : 0);
-        off += rc.len;
-        rc.nchunks = static_cast<std::uint32_t>((rc.len + C - 1) / C);
-        rc.recv_next = 0;
-        rc.fwd_next = 0;
-        rc.done = false;
-        rc.parent_rank = -1;
-        if (my_node != root_node) {
-          const int parent_node = rt->trees.parent(c, my_node);
-          rc.parent_rank =
-              static_cast<int>(*g.rank_of(g.node_group(parent_node).master_task));
-        }
-        const auto kids = rt->children[static_cast<std::size_t>(c)].find(my_node);
-        const std::size_t nkids = kids != rt->children[static_cast<std::size_t>(c)].end()
-                                      ? kids->second.size()
-                                      : 0;
-        rc.acked.assign(nkids, 0);  // reuses capacity after the first call
-        ++remaining;
-      }
-      ProgressSpin spin(ctx);
-      while (remaining > 0) {
-        bool progressed = false;
-        for (int c = 0; c < ncolors; ++c) {
-          CollState::RectColor& rc = st.rect[static_cast<std::size_t>(c)];
-          if (rc.done) continue;
-          const int phase = 1000 + c;
-          const auto kit = rt->children[static_cast<std::size_t>(c)].find(my_node);
-          const std::vector<RectTrees::Kid>* kids =
-              kit != rt->children[static_cast<std::size_t>(c)].end() ? &kit->second : nullptr;
-          // 1. Land the next chunk from the parent; ack at ack points.
-          if (rc.parent_rank >= 0 && rc.recv_next < rc.nchunks) {
-            core::Buf data;
-            const std::int32_t parent_task =
-                g.task_of(static_cast<std::size_t>(rc.parent_rank));
-            if (st.take(g.id(), seq, phase, parent_task, data, rc.recv_next)) {
-              const std::uint32_t k = rc.recv_next;
-              const std::size_t clen = std::min(C, rc.len - static_cast<std::size_t>(k) * C);
-              assert(data.size() == clen);
-              std::memcpy(buf + rc.off + static_cast<std::size_t>(k) * C, data.data(), clen);
-              rc.recv_next = k + 1;
-              if ((k + 1) % kRectAckChunks == 0 || k + 1 == rc.nchunks) {
-                send_coll(ctx, g, seq, 2000 + c, static_cast<std::size_t>(rc.parent_rank),
-                          nullptr, 0, pending, /*chunk=*/k);
-              }
-              progressed = true;
+        if (rc.done) continue;
+        const int phase = 1000 + c;
+        const auto& kids = plan->children(c, my_node);
+        // 1. Land the next chunk from the parent; ack at ack points.
+        if (rc.parent_rank >= 0 && rc.recv_next < rc.nchunks) {
+          core::Buf data;
+          const std::int32_t parent_task = g.task_of(static_cast<std::size_t>(rc.parent_rank));
+          if (st.take(g.id(), seq, phase, parent_task, data, rc.recv_next)) {
+            const std::uint32_t k = rc.recv_next;
+            const std::size_t clen = std::min(C, rc.len - static_cast<std::size_t>(k) * C);
+            assert(data.size() == clen);
+            std::memcpy(buf + rc.off + static_cast<std::size_t>(k) * C, data.data(), clen);
+            rc.recv_next = k + 1;
+            if ((k + 1) % kRectAckChunks == 0 || k + 1 == rc.nchunks) {
+              send_coll(ctx, g, seq, 2000 + c, static_cast<std::size_t>(rc.parent_rank), nullptr,
+                        0, pending, /*chunk=*/k);
             }
-          }
-          // 2. Collect child acks (each ack point is deterministic, so the
-          // expected chunk index is computable from the confirmed count).
-          if (kids != nullptr) {
-            for (std::size_t i = 0; i < kids->size(); ++i) {
-              while (rc.acked[i] < rc.fwd_next) {
-                const std::uint32_t kp = rect_ack_point(rc.acked[i], rc.nchunks);
-                if (kp >= rc.fwd_next) break;  // not yet forwarded, so not yet acked
-                core::Buf ack;
-                const std::int32_t kid_task = g.node_group((*kids)[i].node).master_task;
-                if (!st.take(g.id(), seq, 2000 + c, kid_task, ack, kp)) break;
-                inflight -= kp + 1 - rc.acked[i];
-                rc.acked[i] = kp + 1;
-                progressed = true;
-              }
-            }
-            // 3. Forward every landed-and-unforwarded chunk the ack window
-            // allows (at the root node the whole buffer is already local).
-            const std::uint32_t avail = rc.parent_rank < 0 ? rc.nchunks : rc.recv_next;
-            while (rc.fwd_next < avail) {
-              bool window_open = true;
-              for (std::uint32_t a : rc.acked) {
-                if (rc.fwd_next >= a + kRectWindowChunks) window_open = false;
-              }
-              if (!window_open) break;
-              const std::uint32_t k = rc.fwd_next;
-              const std::size_t clen = std::min(C, rc.len - static_cast<std::size_t>(k) * C);
-              const std::uint64_t t0 = obs::now_ns();
-              for (const RectTrees::Kid& kid : *kids) {
-                send_coll(ctx, g, seq, phase,
-                          *g.rank_of(g.node_group(kid.node).master_task),
-                          buf + rc.off + static_cast<std::size_t>(k) * C, clen, pending, k,
-                          kid.hints);
-              }
-              ctx.obs().trace.record_span(obs::TraceEv::RectChunkRelay, t0,
-                                          static_cast<std::uint32_t>(clen));
-              st.obs.pvars.add(obs::Pvar::CollRectChunks);
-              inflight += kids->size();
-              if (inflight > st.rect_inflight_peak) {
-                st.obs.pvars.add(obs::Pvar::CollRectInflightPeak,
-                                 inflight - st.rect_inflight_peak);
-                st.rect_inflight_peak = inflight;
-              }
-              rc.fwd_next = k + 1;
-              progressed = true;
-            }
-          }
-          // 4. A color is done once its slice has fully landed and every
-          // child has confirmed the whole relay (so no deposit is leaked
-          // into the next operation's matching space).
-          bool finished = rc.parent_rank < 0 || rc.recv_next == rc.nchunks;
-          if (kids != nullptr) {
-            if (rc.fwd_next != rc.nchunks) finished = false;
-            for (std::uint32_t a : rc.acked) {
-              if (a != rc.nchunks) finished = false;
-            }
-          }
-          if (finished) {
-            rc.done = true;
-            --remaining;
             progressed = true;
           }
         }
-        if (!progressed) spin.spin();
+        // 2. Collect child acks (each ack point is deterministic, so the
+        // expected chunk index is computable from the confirmed count).
+        for (std::size_t i = 0; i < kids.size(); ++i) {
+          while (rc.acked[i] < rc.fwd_next) {
+            const std::uint32_t kp = rect_ack_point(rc.acked[i], rc.nchunks);
+            if (kp >= rc.fwd_next) break;  // not yet forwarded, so not yet acked
+            core::Buf ack;
+            const std::int32_t kid_task = g.node_group(kids[i].node).master_task;
+            if (!st.take(g.id(), seq, 2000 + c, kid_task, ack, kp)) break;
+            inflight -= kp + 1 - rc.acked[i];
+            rc.acked[i] = kp + 1;
+            progressed = true;
+          }
+        }
+        // 3. Forward every landed-and-unforwarded chunk the ack window
+        // allows (at the root node the whole buffer is already local).
+        const std::uint32_t avail = rc.parent_rank < 0 ? rc.nchunks : rc.recv_next;
+        while (!kids.empty() && rc.fwd_next < avail) {
+          if (rc.fwd_next >= *std::min_element(rc.acked.begin(), rc.acked.end()) +
+                                 kRectWindowChunks) {
+            break;
+          }
+          const std::uint32_t k = rc.fwd_next;
+          const std::size_t clen = std::min(C, rc.len - static_cast<std::size_t>(k) * C);
+          const std::uint64_t t0 = obs::now_ns();
+          for (const auto& kid : kids) {
+            send_coll(ctx, g, seq, phase, *g.rank_of(g.node_group(kid.node).master_task),
+                      buf + rc.off + static_cast<std::size_t>(k) * C, clen, pending, k,
+                      kid.hints);
+          }
+          ctx.obs().trace.record_span(obs::TraceEv::RectChunkRelay, t0,
+                                      static_cast<std::uint32_t>(clen));
+          st.obs.pvars.add(obs::Pvar::CollRectChunks);
+          inflight += kids.size();
+          if (inflight > st.rect_inflight_peak) {
+            st.obs.pvars.add(obs::Pvar::CollRectInflightPeak, inflight - st.rect_inflight_peak);
+            st.rect_inflight_peak = inflight;
+          }
+          rc.fwd_next = k + 1;
+          progressed = true;
+        }
+        // 4. A color is done once its slice has fully landed and every
+        // child has confirmed the whole relay (so no deposit is leaked
+        // into the next operation's matching space).
+        rc.done = rc.parent_rank < 0 || rc.recv_next == rc.nchunks;
+        for (std::uint32_t a : rc.acked) rc.done = rc.done && a == rc.nchunks;
+        if (rc.done) {
+          --remaining;
+          progressed = true;
+        }
       }
-      drain_sends(ctx, pending);  // rendezvous-sized chunks pull from our buffer
+      if (!progressed) spin.spin();
     }
+    drain_sends(ctx, pending);  // rendezvous-sized chunks pull from our buffer
     li.group->master_slot.publish(buffer);
   }
   local_barrier(ctx, li);

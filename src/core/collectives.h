@@ -22,10 +22,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "core/context.h"
 #include "core/geometry.h"
 #include "hw/classroute.h"
+#include "sim/rect_bcast.h"
 
 namespace pamix::pami::coll {
 
@@ -56,29 +58,26 @@ inline constexpr DispatchId kCollDispatchId = 0xF01;
 
 /// Runtime-tunable collective parameters. Initialized once per process
 /// from the environment (PAMIX_COLL_SLICE, PAMIX_COLL_RADIX,
-/// PAMIX_COLL_OVERLAP) with warn-and-keep validation, then freely mutable:
-/// benches A/B the overlap pipeline and tests sweep the radix in-process.
-/// Every task of a job must see the same values while a collective is in
-/// flight (they shape the shared round schedule).
+/// PAMIX_RECT_CHUNK) with warn-and-keep validation, then freely mutable:
+/// benches and tests sweep the slice, radix and chunk in-process. Every
+/// task of a job must see the same values while a collective is in flight
+/// (they shape the shared round schedule).
 struct CollTuning {
   /// Pipeline slice in bytes. Must be a multiple of 64 so no combine
   /// element ever straddles a slice boundary.
   std::size_t slice_bytes = kPipelineSliceBytes;
   /// Fan-out of the k-nomial software broadcast/reduce trees (>= 2).
   int radix = 2;
-  /// When false, the master blocks on each network round before starting
-  /// the next slice (the pre-pipeline schedule; benches use it as the
-  /// "before" arm of the overlap A/B).
-  bool overlap = true;
   /// Rectangle-broadcast relay chunk in bytes (PAMIX_RECT_CHUNK, K/M
-  /// suffixes accepted, exported as config.rect_chunk). Interior nodes
-  /// forward chunk k down their color tree while chunk k+1 is still
-  /// arriving — cut-through instead of store-and-forward. 0 selects the
-  /// legacy whole-slice store-and-forward relay (the A/B baseline arm).
+  /// suffixes accepted, exported as config.rect_chunk; must be > 0).
+  /// Interior nodes forward chunk k down their color tree while chunk k+1
+  /// is still arriving — cut-through instead of store-and-forward.
   std::size_t rect_chunk = kRectChunkBytes;
 };
 
+/// The process-wide tuning, initialized by one tuning_from_env() read.
 CollTuning& tuning();
+CollTuning tuning_from_env();
 
 /// Register the software-collective dispatch on every context of a client.
 /// Called from Client construction; callable again idempotently.
@@ -130,11 +129,17 @@ void reduce_scatter(Context& ctx, Geometry& g, const void* sendbuf, void* recvbu
 /// tuning().rect_chunk-sized chunks with a bounded relay window
 /// (kRectWindowChunks) so an interior node forwards chunk k while chunk
 /// k+1 is still arriving; every chunk send carries the claimed link's
-/// torus hint bits. rect_chunk == 0 falls back to whole-slice
-/// store-and-forward. Requires a rectangle-eligible geometry; falls back
+/// torus hint bits. Requires a rectangle-eligible geometry; falls back
 /// to the regular broadcast otherwise (counted in coll.rect_fallbacks,
-/// warned once). The constructed trees are cached on the geometry.
+/// warned once).
 void rectangle_broadcast(Context& ctx, Geometry& g, std::size_t root_rank, void* buffer,
                          std::size_t bytes);
+
+/// The relay plan of rectangle_broadcast and sim::scenario_rect_bcast over
+/// `g`'s rectangle, rooted at `root_node`: built and validated once, cached
+/// on the geometry (another root gets a private plan for the call).
+std::shared_ptr<const sim::MulticolorRectBcast> rect_plan(Geometry& g,
+                                                          const hw::TorusGeometry& torus,
+                                                          int root_node);
 
 }  // namespace pamix::pami::coll

@@ -93,6 +93,9 @@ class Context {
     engine_->complete_deferred_rdzv(handle, buffer, bytes, std::move(on_complete));
   }
 
+  /// The protocol engine (collectives pre-size its resources for a burst).
+  proto::ProgressEngine& engine() { return *engine_; }
+
   /// The per-context staging pool feeding eager/RTS streams and shm packet
   /// buffers (telemetry + tests).
   core::BufferPool& stage_pool() { return engine_->stage_pool(); }

@@ -351,6 +351,12 @@ class MessagingUnit {
   /// and single-shot paths). Assumes no backpressure.
   bool inject_one(MuDescriptor& desc);
 
+  /// Grow FIFO `fifo_idx`'s packet staging to `count` blocks of `bytes`
+  /// (BufferPool::reserve; the FIFO's owning context only).
+  void reserve_staging(int fifo_idx, std::size_t bytes, std::size_t count) {
+    inj_pool(fifo_idx).reserve(bytes, count);
+  }
+
   /// This node's MU telemetry domain (packet counters; no trace ring —
   /// the MU is driven concurrently from many threads).
   obs::Domain& obs() { return obs_; }

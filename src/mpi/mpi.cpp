@@ -516,39 +516,31 @@ void Mpi::probe(int source, int tag, const Comm& c, Status* status) {
 
 void Mpi::waitall(std::vector<Request>& rs) {
   // Two-phase waitall (paper §IV-A): phase one walks the requests once,
-  // overlapping the (modelled) id-to-object conversion with the completion
-  // -counter loads, and queues the incomplete ones; phase two polls only
-  // the queued residue while driving progress.
+  // compacting the incomplete ones to the front of `rs` in place; phase
+  // two polls only that residue while driving progress. No per-call
+  // storage: `rs` is the work list.
   impl_->isend_streak.store(0, std::memory_order_relaxed);
   StealWindow steal(client_, base_contexts_, commthreads_ != nullptr);
-  std::vector<RequestImpl*> incomplete;
-  incomplete.reserve(rs.size());
+  std::size_t live = 0;
   for (Request& r : rs) {
-    if (!r->done()) incomplete.push_back(r.get());
+    if (!r->done()) rs[live++] = std::move(r);
   }
-  // Phase two polls only the residue, dropping requests as they complete
-  // (swap-erase keeps each sweep proportional to what is actually left).
+  // Phase two drops requests as they complete (swap-remove keeps each
+  // sweep proportional to what is actually left).
   bool steal_recorded = false;
-  while (!incomplete.empty()) {
+  while (live > 0) {
     const std::size_t events = progress(&steal_recorded);
-    for (std::size_t i = 0; i < incomplete.size();) {
-      if (incomplete[i]->done()) {
-        incomplete[i] = incomplete.back();
-        incomplete.pop_back();
+    for (std::size_t i = 0; i < live;) {
+      if (rs[i]->done()) {
+        rs[i] = std::move(rs[--live]);
       } else {
         ++i;
       }
     }
     // Same stealing discipline as progress_until: keep draining while
     // events flow, yield the core only when a pass came up empty.
-    if (!incomplete.empty() && events == 0) std::this_thread::yield();
+    if (live > 0 && events == 0) std::this_thread::yield();
   }
-  for (Request& r : rs) r.reset();
-  rs.clear();
-}
-
-void Mpi::waitall_naive(std::vector<Request>& rs) {
-  for (Request& r : rs) wait(r);
   rs.clear();
 }
 

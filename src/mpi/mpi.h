@@ -149,10 +149,9 @@ class Mpi {
   bool iprobe(int source, int tag, const Comm& c, Status* status = nullptr);
   /// MPI_Probe: block until a matching message is available.
   void probe(int source, int tag, const Comm& c, Status* status = nullptr);
-  /// Two-phase waitall (paper §IV-A).
+  /// Two-phase waitall (paper §IV-A). Allocation-free: compacts the
+  /// incomplete requests inside `rs`, which it leaves empty.
   void waitall(std::vector<Request>& rs);
-  /// Ablation baseline: naive one-at-a-time waitall.
-  void waitall_naive(std::vector<Request>& rs);
 
   // --- Collectives -------------------------------------------------------------
   void barrier(const Comm& c);

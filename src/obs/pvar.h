@@ -172,7 +172,7 @@ enum class Pvar : std::uint32_t {
   ConfigMuBatch,
   ConfigCollSlice,
   ConfigCollRadix,
-  ConfigRectChunk,  // rect-bcast relay chunk bytes; 0 = store-and-forward
+  ConfigRectChunk,  // rect-bcast relay chunk bytes
   ConfigMpiMatch,  // 1 = hashed bins, 0 = ordered-list fallback
   ConfigEndpoints,   // endpoint contexts configured per task
   ConfigEpFallback,  // 1 = bound endpoints consult the global wildcard list

@@ -44,10 +44,13 @@ std::size_t MuDevice::poll() {
   polling_ = true;
   // Batched reception: one FIFO lock acquisition pulls up to batch_.size()
   // packets into the reusable scratch array, then dispatch runs outside
-  // the FIFO structures.
+  // the FIFO structures. Each packet leaves its slot, so its payload
+  // returns to the sender's pool once handled, not when a later batch
+  // happens to overwrite the slot.
   const std::size_t rx = mu_.rec_fifo(rec_fifo_).poll_batch(batch_.data(), batch_.size());
   for (std::size_t i = 0; i < rx; ++i) {
-    engine_.on_mu_packet(std::move(batch_[i]));
+    hw::MuPacket pkt = std::move(batch_[i]);
+    engine_.on_mu_packet(std::move(pkt));
   }
   polling_ = false;
   if (rx > 0) obs_.pvars.add(obs::Pvar::PacketsReceived, rx);

@@ -149,10 +149,17 @@ class CounterDevice final : public Device {
   /// (the completion point), so steady-state RDMA pulls never allocate.
   /// Callers re-prime before use.
   std::unique_ptr<hw::MuReceptionCounter> acquire() {
-    if (free_.empty()) return std::make_unique<hw::MuReceptionCounter>();
+    if (free_.empty()) reserve(2 * owned_ + 1);  // grow geometrically
     auto c = std::move(free_.back());
     free_.pop_back();
     return c;
+  }
+  /// Keep at least `count` counters in circulation, with room to watch and
+  /// recycle them all, so `count` concurrent pulls never allocate.
+  void reserve(std::size_t count) {
+    pending_.reserve(count);
+    free_.reserve(count);
+    for (; owned_ < count; ++owned_) free_.push_back(std::make_unique<hw::MuReceptionCounter>());
   }
   /// Return an acquired-but-unused counter (a send that bounced Eagain).
   void release(std::unique_ptr<hw::MuReceptionCounter> counter) {
@@ -167,6 +174,7 @@ class CounterDevice final : public Device {
   };
   std::vector<Pending> pending_;
   std::vector<std::unique_ptr<hw::MuReceptionCounter>> free_;
+  std::size_t owned_ = 0;  // counters created, free or watched
 };
 
 }  // namespace pamix::proto

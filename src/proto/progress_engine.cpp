@@ -200,6 +200,25 @@ pami::Result ProgressEngine::send(pami::SendParams& params) {
   return r;
 }
 
+void ProgressEngine::count_send_staging(StagingBlocks& blocks, std::size_t header_bytes,
+                                        std::size_t data_bytes, std::size_t messages) const {
+  const std::size_t stream =
+      header_bytes + (data_bytes <= config().eager_limit ? data_bytes : sizeof(RtsInfo));
+  const std::size_t full = stream / hw::kMaxPacketPayload, tail = stream % hw::kMaxPacketPayload;
+  blocks[core::BufferPool::class_for(hw::kMaxPacketPayload)] += full * messages;
+  if (tail > 0) blocks[core::BufferPool::class_for(tail)] += messages;
+}
+
+void ProgressEngine::reserve_send_staging(int dest_task, const StagingBlocks& blocks) {
+  hw::MessagingUnit& mu = client_.node().mu();
+  const int fifo = inj_fifo_for(machine_.node_of_task(dest_task));
+  for (std::size_t c = 0; c < blocks.size(); ++c) {
+    if (blocks[c] > 0) mu.reserve_staging(fifo, core::kBufClassSizes[c], blocks[c]);
+  }
+}
+
+void ProgressEngine::reserve_recv_pulls(std::size_t count) { counter_dev_->reserve(count); }
+
 // -------------------------------------------------------------- one-sided --
 
 pami::Result ProgressEngine::put(pami::PutParams& params) {

@@ -19,6 +19,7 @@
 // way the old Context::idle() / has_pending_state() pair did.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -44,6 +45,9 @@ struct ShmPacket;
 }  // namespace pamix::pami
 
 namespace pamix::proto {
+
+/// Packet-staging demand per buffer-pool size class.
+using StagingBlocks = std::array<std::size_t, core::kBufClassCount>;
 
 class ControlDevice;
 class CounterDevice;
@@ -186,6 +190,17 @@ class ProgressEngine {
   /// Cold path: call from the context-owning thread only.
   void add_device(Device* dev);
   void remove_device(Device* dev);
+
+  /// Add to `blocks` the MU packet payloads that `messages` off-node sends
+  /// of `header_bytes` + `data_bytes` hold until their receiver consumes
+  /// them (eager: header and data; rendezvous: header and RTS only).
+  void count_send_staging(StagingBlocks& blocks, std::size_t header_bytes,
+                          std::size_t data_bytes, std::size_t messages) const;
+  /// Grow the packet staging of the FIFO carrying sends to `dest_task` to
+  /// `blocks`, so that much unconsumed traffic never misses the pool.
+  void reserve_send_staging(int dest_task, const StagingBlocks& blocks);
+  /// Grow the reception counters to `count` rendezvous pulls in flight.
+  void reserve_recv_pulls(std::size_t count);
 
   /// Per-context staging pool for eager/RTS streams and shm packet
   /// buffers. Single-consumer: acquire only on this context's advancing

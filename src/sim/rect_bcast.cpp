@@ -13,6 +13,15 @@ MulticolorRectBcast::MulticolorRectBcast(const hw::TorusGeometry& geom,
   rect_nodes_ = rect_.node_count();
   link_claims_.assign(static_cast<std::size_t>(geom_.directed_link_count()), 0);
   build();
+  for (Tree& t : trees_) {
+    t.kids.assign(t.parent.size(), {});
+    for (int v = 0; v < geom_.node_count(); ++v) {  // ascending: sorted lists
+      const int p = t.parent[static_cast<std::size_t>(v)];
+      if (p < 0) continue;
+      t.kids[static_cast<std::size_t>(p)].push_back(
+          Child{v, hw::hint_for_link(geom_, p, v, t.plink[static_cast<std::size_t>(v)])});
+    }
+  }
 }
 
 bool MulticolorRectBcast::in_rect(int node) const {
@@ -29,8 +38,6 @@ void MulticolorRectBcast::build() {
     if (extent <= 1) continue;
     for (int s = 0; s < 2; ++s) {
       Tree t;
-      t.first_dim = static_cast<hw::Dim>(d);
-      t.first_dir = s == 0 ? hw::Dir::Plus : hw::Dir::Minus;
       t.parent.assign(static_cast<std::size_t>(geom_.node_count()), -2);
       t.plink.assign(static_cast<std::size_t>(geom_.node_count()), -1);
       t.depth.assign(static_cast<std::size_t>(geom_.node_count()), 0);

@@ -16,6 +16,8 @@
 // achievable throughput from the measured contention, tree depths, and the
 // node memory pipeline — so the Figure 10 bench reflects real constructed
 // trees, not an assumed ideal.
+// It is also the relay plan (children()) that coll::rectangle_broadcast
+// and its DES scenario both walk, cached per geometry by coll::rect_plan.
 #pragma once
 
 #include <cstddef>
@@ -57,6 +59,21 @@ class MulticolorRectBcast {
     return trees_[static_cast<std::size_t>(color)].plink[static_cast<std::size_t>(node)];
   }
 
+  /// One relay edge: the child node and the torus hint bits forcing the
+  /// hop onto the link the tree claimed (see parent_link_index).
+  struct Child {
+    int node = 0;
+    std::uint16_t hints = 0;
+  };
+
+  /// Children of `node` in `color`'s tree, in ascending node id — the
+  /// relays inject in this order, so it fixes DES virtual times.
+  const std::vector<Child>& children(int color, int node) const {
+    return trees_[static_cast<std::size_t>(color)].kids[static_cast<std::size_t>(node)];
+  }
+
+  int root() const { return root_; }  // every tree grows from it
+
   /// Nodes of `color`'s tree in a valid root-first delivery order.
   const std::vector<int>& delivery_order(int color) const {
     return trees_[static_cast<std::size_t>(color)].order;
@@ -73,12 +90,11 @@ class MulticolorRectBcast {
 
  private:
   struct Tree {
-    hw::Dim first_dim;
-    hw::Dir first_dir;
     std::vector<int> parent;   // -1 root, -2 not (yet) in tree
     std::vector<int> plink;    // link index of the parent edge (-1 at root)
     std::vector<int> depth;
     std::vector<int> order;    // insertion order (root first)
+    std::vector<std::vector<Child>> kids;  // per node: its child edges
   };
 
   void build();

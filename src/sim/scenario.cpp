@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/client.h"
+#include "core/collectives.h"
 #include "core/context.h"
 #include "core/geometry.h"
 #include "core/topology.h"
@@ -443,11 +444,7 @@ struct BcastState {
   std::size_t chunk = 0;
   std::vector<std::size_t> color_off;    // [color] slice offset in payload
   std::vector<std::size_t> color_bytes;  // [color] slice length
-  struct Edge {
-    int child = 0;
-    std::uint16_t hints = 0;  // forces the tree's claimed directed link
-  };
-  std::vector<std::vector<std::vector<Edge>>> children;  // [color][node]
+  const MulticolorRectBcast* plan = nullptr;
   std::vector<std::byte> payload;                       // root's source
   std::vector<std::vector<std::byte>> rx;               // [node*colors+color]
   std::vector<std::size_t> received;                    // [node]
@@ -464,11 +461,14 @@ struct BcastState {
 
   void send_chunk(int node, int color, int c, const std::byte* src) {
     BcastHdr hdr{static_cast<std::uint32_t>(c), static_cast<std::uint16_t>(color)};
-    for (const Edge& e :
-         children[static_cast<std::size_t>(color)][static_cast<std::size_t>(node)]) {
+    // Child edges carry the torus hint of the tree's *claimed* directed
+    // link: in extent-2 rings both directions reach the child, and without
+    // the hint the router would collapse the dimension's two colors onto
+    // one wire, halving the aggregate.
+    for (const MulticolorRectBcast::Child& e : plan->children(color, node)) {
       pami::SendParams p;
       p.dispatch = kDisBcast;
-      p.dest = pami::Endpoint{e.child, 0};
+      p.dest = pami::Endpoint{e.node, 0};
       p.header = &hdr;
       p.header_bytes = sizeof(hdr);
       p.data = src;
@@ -511,17 +511,20 @@ struct BcastState {
 BcastStats scenario_rect_bcast(ScenarioWorld& w, std::size_t bytes, int colors,
                                std::size_t chunk_bytes,
                                std::vector<std::vector<std::byte>>* payload_out) {
+  if (chunk_bytes == 0) fail("scenario: rect-bcast chunk must be positive");
   const int n = w.nodes();
-  const hw::TorusGeometry& geom = w.machine().geometry();
-  const hw::TorusRectangle rect = hw::TorusRectangle::whole_machine(geom);
-  MulticolorRectBcast trees(geom, rect, /*root_node=*/0);
-  if (!trees.validate()) fail("scenario: invalid rectangle broadcast trees");
-  colors = std::max(1, std::min(colors, trees.colors()));
+  // The same cached, validated plan coll::rectangle_broadcast relays on.
+  const auto plan =
+      pami::coll::rect_plan(*w.world().geometries().world_geometry(), w.machine().geometry(),
+                            /*root_node=*/0);
+  colors = std::max(1, std::min(colors, plan->colors()));
 
   BcastState st;
   st.w = &w;
   st.n = n;
   st.colors = colors;
+  st.chunk = chunk_bytes;
+  st.plan = plan.get();
   st.per_node_total = bytes;
   st.out = payload_out;
 
@@ -535,33 +538,6 @@ BcastStats scenario_rect_bcast(ScenarioWorld& w, std::size_t bytes, int colors,
     st.color_off[static_cast<std::size_t>(c)] = off;
     st.color_bytes[static_cast<std::size_t>(c)] = l;
     off += l;
-  }
-  if (chunk_bytes == 0) {
-    // Store-and-forward A/B arm: one "chunk" is a whole color slice, so an
-    // interior node holds the entire slice before re-injecting it — the
-    // schedule the cut-through pipeline is measured against.
-    std::size_t widest = 1;
-    for (std::size_t l : st.color_bytes) widest = std::max(widest, l);
-    st.chunk = widest;
-  } else {
-    st.chunk = chunk_bytes;
-  }
-
-  // Child edges carry the torus hint of the tree's *claimed* directed
-  // link: in extent-2 rings both directions reach the child, and without
-  // the hint the router would collapse the dimension's two colors onto one
-  // wire, halving the aggregate.
-  st.children.assign(static_cast<std::size_t>(colors),
-                     std::vector<std::vector<BcastState::Edge>>(static_cast<std::size_t>(n)));
-  for (int c = 0; c < colors; ++c) {
-    for (int node = 0; node < n; ++node) {
-      const int p = trees.parent(c, node);
-      if (p < 0) continue;
-      BcastState::Edge e;
-      e.child = node;
-      e.hints = hw::hint_for_link(geom, p, node, trees.parent_link_index(c, node));
-      st.children[static_cast<std::size_t>(c)][static_cast<std::size_t>(p)].push_back(e);
-    }
   }
 
   st.payload.resize(bytes);
@@ -627,7 +603,6 @@ BcastStats scenario_rect_bcast(ScenarioWorld& w, std::size_t bytes, int colors,
   out.total_us = st.t_end - t0;
   out.bandwidth_mb_s = out.total_us > 0.0 ? static_cast<double>(bytes) / out.total_us : 0.0;
   out.max_link_occupancy = w.net_pvars()[obs::Pvar::SimLinkMaxOccupancy];
-  out.chunk_bytes = st.chunk;
   out.chunks = st.chunks;
   return out;
 }

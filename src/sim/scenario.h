@@ -129,7 +129,6 @@ struct BcastStats {
   double bandwidth_mb_s = 0.0;
   int colors = 0;
   std::uint64_t max_link_occupancy = 0;
-  std::size_t chunk_bytes = 0;   // effective relay chunk (slice size in SF mode)
   std::uint64_t chunks = 0;      // chunk landings across all non-root nodes
 };
 /// Multicolor rectangle broadcast over the whole machine: the payload is
@@ -139,10 +138,10 @@ struct BcastStats {
 /// lands, while chunk k+1 is still on the wire. Every landed chunk is
 /// verified byte-for-byte against the root payload at every node.
 /// `colors` <= the geometry's color count; 1 reproduces the single-path
-/// baseline the paper compares against. `chunk_bytes` == 0 selects
-/// store-and-forward (one chunk = one whole color slice), the A/B
-/// baseline for the streaming pipeline. `payload_out`, when non-null,
-/// receives node 1..N-1 landing buffers for verification (small
+/// baseline the paper compares against. `chunk_bytes` must be positive.
+/// The trees come from coll::rect_plan, cached on the world geometry, so
+/// repeat calls on one world build them once. `payload_out`, when
+/// non-null, receives node 1..N-1 landing buffers for verification (small
 /// geometries only).
 BcastStats scenario_rect_bcast(ScenarioWorld& w, std::size_t bytes, int colors,
                                std::size_t chunk_bytes = 4096,

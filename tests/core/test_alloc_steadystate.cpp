@@ -234,7 +234,7 @@ TEST_F(AllocSteadyState, SoftwareCollectivesAreAllocationFree) {
 }
 
 TEST_F(AllocSteadyState, RectangleBroadcastStreamingIsAllocationFree) {
-  // Cut-through rectangle broadcast: after the tree cache, the per-color
+  // Cut-through rectangle broadcast: after the plan cache, the per-color
   // relay scratch, and the pre-reserved chunk pool warm up, streaming a
   // payload chunk-by-chunk down the color trees must not touch the global
   // allocator — chunks land in pooled Bufs sized by CollState::reserve,
@@ -262,7 +262,7 @@ TEST_F(AllocSteadyState, RectangleBroadcastStreamingIsAllocationFree) {
         }
         coll::barrier(cx, *geom);  // fences the snapshots below
       };
-      // Warm-up passes: tree cache, relay scratch, reserved pool, slot
+      // Warm-up passes: plan cache, relay scratch, reserved pools, slot
       // table, MU staging. Two passes so the pass->pass boundary (its
       // chunk-overlap pattern differs from a cold start) is seen too.
       pass(16);

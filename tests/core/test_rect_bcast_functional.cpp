@@ -2,7 +2,9 @@
 // real constructed trees over the PAMI point-to-point stack.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <numeric>
+#include <string>
 
 #include "core/client.h"
 #include "core/collectives.h"
@@ -117,6 +119,18 @@ class ScopedRectChunk {
  private:
   std::size_t saved_;
 };
+
+/// A zero relay chunk is not a setting: the knob warns and keeps the
+/// default, like every other invalid collective tuning value.
+TEST(RectBcastChunked, ZeroChunkEnvWarnsAndKeepsDefault) {
+  ::setenv("PAMIX_RECT_CHUNK", "0", /*overwrite=*/1);
+  ::testing::internal::CaptureStderr();
+  const coll::CollTuning t = coll::tuning_from_env();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ::unsetenv("PAMIX_RECT_CHUNK");
+  EXPECT_EQ(t.rect_chunk, coll::kRectChunkBytes);
+  EXPECT_NE(err.find("PAMIX_RECT_CHUNK=0"), std::string::npos) << err;
+}
 
 /// The streaming relay must deliver for any chunk size: one byte
 /// (degenerate maximum chunk count), odd sizes that never divide the

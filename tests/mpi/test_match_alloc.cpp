@@ -5,7 +5,8 @@
 // enforces it by count (the mpi.match.pool_misses pvar is cross-checked),
 // so a hidden allocation sneaking back onto the match path — a node that
 // stopped recycling, a payload vector losing its capacity, a std::map
-// creeping back into the sequence tables — fails loudly.
+// creeping back into the sequence tables — fails loudly. MPI_Waitall is
+// held to the same standard.
 //
 // This file must be its own test binary: replacing ::operator new is
 // program-wide. Requests are pre-acquired and reset between cycles —
@@ -21,7 +22,9 @@
 #include <vector>
 
 #include "mpi/matching.h"
+#include "mpi/mpi.h"
 #include "obs/pvar.h"
+#include "runtime/machine.h"
 
 namespace {
 
@@ -203,6 +206,39 @@ TEST_F(MatchAllocSteadyState, MultiSourceShardChurnIsAllocationFree) {
   EXPECT_EQ(allocations() - before, 0u)
       << "multi-source shard churn touched the global allocator";
   EXPECT_EQ(pvars_.get(obs::Pvar::MpiMatchPoolMisses) - misses_before, 0u);
+}
+
+/// MPI_Waitall itself: after warm-up, waiting on a batch must not touch
+/// the allocator — the two-phase residue is compacted inside the caller's
+/// request vector. One rank sending to itself over the shm path keeps the
+/// run single-threaded, so every counted allocation is the wait's own.
+TEST(WaitallAllocSteadyState, WaitallIsAllocationFree) {
+  runtime::Machine machine(hw::TorusGeometry({1, 1, 1, 1, 1}), 1);
+  MpiWorld world(machine, MpiConfig{});
+  std::uint64_t measured = 0;
+  machine.run_spmd([&](int task) {
+    Mpi& mp = world.at(task);
+    mp.init(ThreadLevel::Single);
+    const Comm w = mp.world();
+    constexpr int kMsgs = 16;
+    std::vector<int> recv(kMsgs, 0), send(kMsgs, 5);
+    std::vector<Request> reqs;
+    reqs.reserve(2 * kMsgs);
+    auto batch = [&] {
+      for (int i = 0; i < kMsgs; ++i) reqs.push_back(mp.irecv(&recv[i], sizeof(int), 0, i, w));
+      for (int i = 0; i < kMsgs; ++i) reqs.push_back(mp.isend(&send[i], sizeof(int), 0, i, w));
+      const std::uint64_t before = allocations();
+      mp.waitall(reqs);
+      const std::uint64_t n = allocations() - before;
+      EXPECT_TRUE(reqs.empty());
+      EXPECT_EQ(recv[kMsgs - 1], 5);
+      return n;
+    };
+    for (int i = 0; i < 8; ++i) batch();  // warm-up: request, match and shm pools
+    for (int i = 0; i < 64; ++i) measured += batch();
+    mp.finalize();
+  });
+  EXPECT_EQ(measured, 0u) << "waitall touched the global allocator";
 }
 
 }  // namespace

@@ -199,29 +199,28 @@ TEST_F(MpiPt2Pt, TestPollsWithoutBlocking) {
   });
 }
 
-TEST_F(MpiPt2Pt, TwoPhaseAndNaiveWaitallAgree) {
+TEST_F(MpiPt2Pt, WaitallCompletesAllToAllExchange) {
+  // Every rank exchanges with every other, twice: the second round reuses
+  // the request vector waitall left empty.
   spmd([&](Mpi& mpi) {
     const Comm w = mpi.world();
     const int me = mpi.rank(w);
     const int n = mpi.size(w);
-    for (int variant = 0; variant < 2; ++variant) {
+    std::vector<Request> reqs;
+    for (int round = 0; round < 2; ++round) {
       std::vector<int> recv(static_cast<std::size_t>(n), -1);
-      std::vector<Request> reqs;
       for (int r = 0; r < n; ++r) {
         if (r == me) continue;
-        reqs.push_back(mpi.irecv(&recv[static_cast<std::size_t>(r)], sizeof(int), r, variant, w));
+        reqs.push_back(mpi.irecv(&recv[static_cast<std::size_t>(r)], sizeof(int), r, round, w));
       }
       std::vector<int> send_vals(static_cast<std::size_t>(n), me);
       for (int r = 0; r < n; ++r) {
         if (r == me) continue;
         reqs.push_back(mpi.isend(&send_vals[static_cast<std::size_t>(r)], sizeof(int), r,
-                                 variant, w));
+                                 round, w));
       }
-      if (variant == 0) {
-        mpi.waitall(reqs);
-      } else {
-        mpi.waitall_naive(reqs);
-      }
+      mpi.waitall(reqs);
+      ASSERT_TRUE(reqs.empty());
       for (int r = 0; r < n; ++r) {
         if (r != me) {
           ASSERT_EQ(recv[static_cast<std::size_t>(r)], r);

@@ -121,6 +121,20 @@ TEST(MulticolorRectBcast, ParentLinkHintsForceTheClaimedWire) {
         // A link that is not a p->n hop must produce no hint.
         EXPECT_EQ(hw::hint_for_link(g, n, p, link), 0);
       }
+      // The relay plan lists every non-root node once, under its parent,
+      // in ascending node id, carrying exactly that hint.
+      int edges = 0;
+      for (int p = 0; p < g.node_count(); ++p) {
+        int prev = -1;
+        for (const MulticolorRectBcast::Child& kid : b.children(c, p)) {
+          EXPECT_EQ(b.parent(c, kid.node), p);
+          EXPECT_GT(kid.node, prev);
+          EXPECT_EQ(kid.hints, hw::hint_for_link(g, p, kid.node, b.parent_link_index(c, kid.node)));
+          prev = kid.node;
+          ++edges;
+        }
+      }
+      EXPECT_EQ(edges, g.node_count() - 1);
     }
   }
 }
